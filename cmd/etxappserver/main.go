@@ -76,11 +76,11 @@ func run() error {
 	suspect := flag.Duration("suspect", 500*time.Millisecond, "failure-suspicion timeout")
 	workers := flag.Int("workers", 1, "compute threads (raise for pipelined clients)")
 	fsync := flag.Duration("fsync", 0, "simulated forced-write latency of the deployment; accepted on every tier so one flag list drives all binaries — the cost itself is paid by etxdbserver -fsync (this server is stateless)")
-	batchWindow := flag.Duration("batch-window", 0, "outbound aggregation window: >0 coalesces Prepare/Decide fan-out to the same shard into batch envelopes; 0 sends each message directly")
+	batchWindow := flag.Duration("batch-window", 0, "outbound aggregation: >0 coalesces Prepare/Decide fan-out to the same shard into batch envelopes, self-clocked so a send to an idle shard never waits (only the switch matters here; the value is the db servers' group-commit wait); 0 sends each message directly")
 	maxBatch := flag.Int("max-batch", 0, "cap on one outbound batch envelope (0 = default 64)")
 	cohortWindow := flag.Duration("cohort-window", 0, "cohort-consensus window: >0 lets concurrent wo-register writes share one consensus instance per cohort; 0 runs one instance per write (every app server must agree)")
 	maxCohort := flag.Int("max-cohort", 0, "cap on register ops per consensus slot (0 = default 64)")
-	adaptive := flag.Bool("adaptive", false, "self-tuning batching: sample the in-flight depth and collapse batch/cohort caps at depth 1, widening them under pipelining (unset windows default to 500µs/100µs; every app server must agree)")
+	adaptive := flag.Bool("adaptive", false, "self-tuning batching: sample the in-flight depth and collapse the cohort cap and hold at depth 1, widening the cap under pipelining (unset windows default to 500µs/100µs; every app server must agree)")
 	writeTimeout := flag.Duration("write-timeout", 0, "transport write deadline: a peer that stops reading trips it and the connection is dropped (0 = default 5s)")
 	retainSlots := flag.Int("retain-slots", 0, "batch-log retention tail: >0 truncates decided consensus slots below the cluster-wide applied watermark minus this many (laggards catch up via checkpoint transfer); 0 retains every slot forever (every app server must agree)")
 	shards := flag.Int("shards", 0, "key-shard the database tier over the first N -dbservers (0 = all of them)")

@@ -1,7 +1,8 @@
 // Command etxbench regenerates the tables and figures of the paper's
 // evaluation (Frølund & Guerraoui, "Implementing e-Transactions with
 // Asynchronous Replication", DSN 2000) on the simulated substrate, plus the
-// extension experiments indexed in DESIGN.md.
+// extension experiments indexed in the README's "Reproducing the paper's
+// evaluation" section.
 //
 // Usage:
 //

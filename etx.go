@@ -110,10 +110,12 @@ type Config struct {
 	// commit path: database stable stores combine concurrent forced log
 	// writes into shared fsyncs, database servers serve Prepare/Decide
 	// rounds in batches, and application servers aggregate commit fan-out to
-	// the same shard into batch envelopes. The window is the extra time a
-	// group-commit leader waits for followers (under load batching emerges
-	// regardless); 0 — the default — keeps the paper's one-fsync-per-forced-
-	// write behaviour.
+	// the same shard into batch envelopes. The application servers'
+	// aggregation is self-clocked and never waits: whatever queues behind an
+	// envelope in flight rides the next one. The window's value therefore
+	// only sets how long a stable store's group-commit leader waits for
+	// followers. 0 — the default — keeps the paper's one-fsync-per-forced-
+	// write, one-envelope-per-message behaviour.
 	BatchWindow time.Duration
 	// MaxBatch caps group-commit cohorts and batch envelopes (default 64;
 	// only meaningful with BatchWindow set).
@@ -131,16 +133,17 @@ type Config struct {
 	// MaxCohort caps register ops per consensus slot (default 64; only
 	// meaningful with CohortWindow set).
 	MaxCohort int
-	// AdaptiveWindows makes the batching machinery self-tuning: each
+	// AdaptiveWindows makes the remaining batching windows self-tuning: each
 	// application server samples its in-flight request depth and collapses
-	// the outbound-batch and consensus-cohort caps to one when a single
-	// request is in flight (batching would only add latency) while widening
-	// them toward MaxBatch/MaxCohort under pipelining, and the databases'
-	// group commit runs a minimal accumulation window. With it set, no
-	// static BatchWindow/CohortWindow choice has to trade depth-1 latency
-	// for depth-64 throughput; unset windows default to small values
-	// (500µs/100µs). Adaptation tunes timing only — protocol semantics are
-	// exactly those of the configured windows.
+	// the consensus-cohort cap and hold to one op when a single request is
+	// in flight (batching would only add latency) while widening the cap
+	// toward MaxCohort under pipelining, and a database's lone group-commit
+	// leader skips its accumulation window. With it set, no static
+	// BatchWindow/CohortWindow choice has to trade depth-1 latency for
+	// depth-64 throughput; unset windows default to small values
+	// (500µs/100µs), which also switches outbound aggregation on.
+	// Adaptation tunes timing only — protocol semantics are exactly those
+	// of the configured windows.
 	AdaptiveWindows bool
 	// RetainSlots bounds the memory of cohort consensus: each application
 	// server advertises the batch-log slots it has applied, and decided

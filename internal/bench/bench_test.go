@@ -16,11 +16,14 @@ func TestFigure8ReproducesPaperShape(t *testing.T) {
 	}
 	// A single scheduler hiccup on a loaded one-core machine can blow a
 	// column's confidence interval without touching the shape; re-measure
-	// once before treating noise as failure.
+	// once before treating noise as failure. Scale 0.05 (the package
+	// default) keeps a request near 12 ms of real time: at 0.02 one
+	// half-millisecond preemption, routine while sibling test packages load
+	// every core, is already a tenth of a request.
 	var f *Figure8
 	var err error
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err = RunFigure8(Figure8Config{Scale: 0.02, Requests: 12, Warmup: 2})
+		f, err = RunFigure8(Figure8Config{Scale: 0.05, Requests: 12, Warmup: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

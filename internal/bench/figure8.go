@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -97,24 +98,56 @@ func PaperFigure8() Figure8 {
 }
 
 // RunFigure8 measures the three protocols on the calibrated cost model and
-// assembles the table.
+// assembles the table. All three deployments run side by side and the
+// requests are interleaved one by one — round i issues one request to each
+// protocol, rotating which goes first — so machine drift (CPU steal, a
+// neighbour's burst) lands on every column alike instead of on whichever
+// column happened to run during the bad stretch. Every row is a median, so
+// a lone scheduler stall cannot move a column either.
 func RunFigure8(cfg Figure8Config) (*Figure8, error) {
 	cfg.setDefaults()
 	model := latcost.Paper(cfg.Scale)
 
-	baselineCol, err := runSoloColumn(ProtocolBaseline, model, cfg, newBaselineRig)
-	if err != nil {
-		return nil, err
-	}
-	arCol, err := runARColumn(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	twoPCCol, err := runSoloColumn(Protocol2PC, model, cfg, newTwoPCRig)
-	if err != nil {
-		return nil, err
+	var protos []*f8Protocol
+	defer func() {
+		for _, p := range protos {
+			p.stop()
+		}
+	}()
+	for _, build := range []func(latcost.Model, Figure8Config) (*f8Protocol, error){
+		soloProtocol(ProtocolBaseline, newBaselineRig), arProtocol, soloProtocol(Protocol2PC, newTwoPCRig),
+	} {
+		p, err := build(model, cfg)
+		if err != nil {
+			return nil, err
+		}
+		protos = append(protos, p)
 	}
 
+	deadline := 300 * estimatedTotal(model)
+	for i := 0; i < cfg.Warmup+cfg.Requests; i++ {
+		if i == cfg.Warmup {
+			for _, p := range protos {
+				p.rec.Reset()
+				p.totals = metrics.NewSample()
+			}
+		}
+		for k := range protos {
+			p := protos[(i+k)%len(protos)]
+			if err := p.measure(model, deadline); err != nil {
+				return nil, errf("%s request %d: %w", p.name, i, err)
+			}
+		}
+	}
+	for _, p := range protos {
+		if p.check != nil {
+			if err := p.check(); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	baselineCol, arCol, twoPCCol := protos[0].column(model), protos[1].column(model), protos[2].column(model)
 	overhead := func(c *Figure8Column) {
 		if baselineCol.Total > 0 {
 			c.Overhead = (c.Total - baselineCol.Total) / baselineCol.Total * 100
@@ -132,101 +165,107 @@ func RunFigure8(cfg Figure8Config) (*Figure8, error) {
 	}, nil
 }
 
-// runSoloColumn measures a single-server protocol (baseline or 2PC).
-func runSoloColumn(name string, model latcost.Model, cfg Figure8Config,
-	build func(latcost.Model, *latcost.Recorder) (*soloRig, error)) (Figure8Column, error) {
-	rec := latcost.NewRecorder()
-	rig, err := build(model, rec)
-	if err != nil {
-		return Figure8Column{}, errf("%s rig: %w", name, err)
-	}
-	defer rig.stop()
-
-	totals := metrics.NewSample()
-	deadline := 300 * estimatedTotal(model)
-	for i := 0; i < cfg.Warmup+cfg.Requests; i++ {
-		if i == cfg.Warmup {
-			rec.Reset()
-			totals = metrics.NewSample()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		t0 := time.Now()
-		spin.Sleep(model.ClientStart)
-		dec, err := rig.client.Call(ctx, benchRequest())
-		cancel()
-		if err != nil {
-			return Figure8Column{}, errf("%s request %d: %w", name, i, err)
-		}
-		if !dec.Committed() {
-			return Figure8Column{}, errf("%s request %d aborted", name, i)
-		}
-		spin.Sleep(model.ClientEnd)
-		total := time.Since(t0)
-		rec.Observe(zeroRID(), core.SpanStart, model.ClientStart)
-		rec.Observe(zeroRID(), core.SpanEnd, model.ClientEnd)
-		totals.AddDuration(total)
-	}
-	return assembleColumn(name, model, rec, totals), nil
+// f8Protocol is one column under measurement: a running deployment, the
+// recorder its spans feed, and the client-observed request totals.
+type f8Protocol struct {
+	name   string
+	rec    *latcost.Recorder
+	totals *metrics.Sample
+	call   func(ctx context.Context) error
+	check  func() error // post-run correctness check, or nil
+	stop   func()
 }
 
-// runARColumn measures the replicated protocol through a full cluster.
-func runARColumn(model latcost.Model, cfg Figure8Config) (Figure8Column, error) {
+// soloProtocol builds a single-server protocol (baseline or 2PC).
+func soloProtocol(name string, build func(latcost.Model, *latcost.Recorder) (*soloRig, error)) func(latcost.Model, Figure8Config) (*f8Protocol, error) {
+	return func(model latcost.Model, _ Figure8Config) (*f8Protocol, error) {
+		rec := latcost.NewRecorder()
+		rig, err := build(model, rec)
+		if err != nil {
+			return nil, errf("%s rig: %w", name, err)
+		}
+		return &f8Protocol{
+			name: name, rec: rec, totals: metrics.NewSample(), stop: rig.stop,
+			call: func(ctx context.Context) error {
+				dec, err := rig.client.Call(ctx, benchRequest())
+				if err != nil {
+					return err
+				}
+				if !dec.Committed() {
+					return errors.New("aborted")
+				}
+				return nil
+			},
+		}, nil
+	}
+}
+
+// arProtocol builds the replicated protocol as a full cluster.
+func arProtocol(model latcost.Model, cfg Figure8Config) (*f8Protocol, error) {
 	rec := latcost.NewRecorder()
 	c, err := arDeployment(model, cfg.AppServers, 1, rec, 1)
 	if err != nil {
-		return Figure8Column{}, errf("AR rig: %w", err)
+		return nil, errf("AR rig: %w", err)
 	}
-	defer c.Stop()
+	return &f8Protocol{
+		name: ProtocolAR, rec: rec, totals: metrics.NewSample(), stop: c.Stop,
+		call: func(ctx context.Context) error {
+			res, err := c.Client(1).Issue(ctx, benchRequest())
+			if err != nil {
+				return err
+			}
+			if len(res) == 0 {
+				return errors.New("empty result")
+			}
+			return nil
+		},
+		check: func() error {
+			if rep := c.CheckProperties(); !rep.Ok() {
+				return errf("AR oracle violations: %s", rep)
+			}
+			return nil
+		},
+	}, nil
+}
 
-	totals := metrics.NewSample()
-	deadline := 300 * estimatedTotal(model)
-	for i := 0; i < cfg.Warmup+cfg.Requests; i++ {
-		if i == cfg.Warmup {
-			rec.Reset()
-			totals = metrics.NewSample()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		t0 := time.Now()
-		spin.Sleep(model.ClientStart)
-		res, err := c.Client(1).Issue(ctx, benchRequest())
-		cancel()
-		if err != nil {
-			return Figure8Column{}, errf("AR request %d: %w", i, err)
-		}
-		if len(res) == 0 {
-			return Figure8Column{}, errf("AR request %d returned an empty result", i)
-		}
-		spin.Sleep(model.ClientEnd)
-		total := time.Since(t0)
-		rec.Observe(zeroRID(), core.SpanStart, model.ClientStart)
-		rec.Observe(zeroRID(), core.SpanEnd, model.ClientEnd)
-		totals.AddDuration(total)
+// measure issues one request the way the paper's client does: marshal,
+// call, unmarshal, all inside the client-observed total.
+func (p *f8Protocol) measure(model latcost.Model, deadline time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	t0 := time.Now()
+	spin.Sleep(model.ClientStart)
+	if err := p.call(ctx); err != nil {
+		return err
 	}
-	if rep := c.CheckProperties(); !rep.Ok() {
-		return Figure8Column{}, errf("AR oracle violations: %s", rep)
-	}
-	return assembleColumn(ProtocolAR, model, rec, totals), nil
+	spin.Sleep(model.ClientEnd)
+	p.totals.AddDuration(time.Since(t0))
+	p.rec.Observe(zeroRID(), core.SpanStart, model.ClientStart)
+	p.rec.Observe(zeroRID(), core.SpanEnd, model.ClientEnd)
+	return nil
 }
 
 func zeroRID() id.ResultID { return id.ResultID{} }
 
-// assembleColumn converts scaled measurements back to the paper's time base
-// and derives the "other" row as the unaccounted remainder, exactly like the
+// column converts scaled measurements back to the paper's time base and
+// derives the "other" row as the unaccounted remainder, exactly like the
 // paper ("the amount of time which is unaccounted for after allocating the
-// response time to the listed components").
-func assembleColumn(name string, model latcost.Model, rec *latcost.Recorder, totals *metrics.Sample) Figure8Column {
+// response time to the listed components"). Rows are medians and the CI is
+// the median's distribution-free 90% interval.
+func (p *f8Protocol) column(model latcost.Model) Figure8Column {
 	unscale := 1.0 / model.Scale
+	row := func(s core.Span) float64 { return p.rec.Median(s) * unscale }
 	col := Figure8Column{
-		Protocol:   name,
-		Start:      rec.Mean(core.SpanStart) * unscale,
-		End:        rec.Mean(core.SpanEnd) * unscale,
-		Commit:     rec.Mean(core.SpanCommit) * unscale,
-		Prepare:    rec.Mean(core.SpanPrepare) * unscale,
-		SQL:        rec.Mean(core.SpanSQL) * unscale,
-		LogStart:   rec.Mean(core.SpanLogStart) * unscale,
-		LogOutcome: rec.Mean(core.SpanLogOutcome) * unscale,
-		Total:      totals.Mean() * unscale,
-		TotalCI90:  totals.CI90() * unscale,
+		Protocol:   p.name,
+		Start:      row(core.SpanStart),
+		End:        row(core.SpanEnd),
+		Commit:     row(core.SpanCommit),
+		Prepare:    row(core.SpanPrepare),
+		SQL:        row(core.SpanSQL),
+		LogStart:   row(core.SpanLogStart),
+		LogOutcome: row(core.SpanLogOutcome),
+		Total:      p.totals.Percentile(50) * unscale,
+		TotalCI90:  p.totals.MedianCI90() * unscale,
 	}
 	accounted := col.Start + col.End + col.Commit + col.Prepare + col.SQL + col.LogStart + col.LogOutcome
 	col.Other = col.Total - accounted
@@ -254,7 +293,7 @@ func (f *Figure8) String() string {
 	row("total", func(c Figure8Column) float64 { return c.Total })
 	fmt.Fprintf(&b, "%-20s %9.0f%% %9.1f%% %9.1f%%\n", "cost of reliability",
 		f.Baseline.Overhead, f.AR.Overhead, f.TwoPC.Overhead)
-	fmt.Fprintf(&b, "(90%% CI of totals: baseline ±%.1f, AR ±%.1f, 2PC ±%.1f)\n",
+	fmt.Fprintf(&b, "(rows are medians; 90%% CI of the median totals: baseline ±%.1f, AR ±%.1f, 2PC ±%.1f)\n",
 		f.Baseline.TotalCI90, f.AR.TotalCI90, f.TwoPC.TotalCI90)
 	return b.String()
 }

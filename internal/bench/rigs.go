@@ -1,8 +1,9 @@
 // Package bench contains the experiment harness that regenerates every
 // table and figure of the paper's evaluation (Appendix 3), plus the
-// extension experiments DESIGN.md's index lists (failover response time,
-// scaling, false-suspicion robustness, wo-register microbenchmarks and the
-// garbage-collection ablation).
+// extension experiments the README's "Reproducing the paper's evaluation"
+// section indexes (failover response time, scaling, false-suspicion
+// robustness, wo-register microbenchmarks and the garbage-collection
+// ablation).
 //
 // Each experiment builds fresh deployments on the in-memory network with the
 // calibrated latcost model, runs the paper's bank workload, and reports

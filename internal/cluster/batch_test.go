@@ -155,3 +155,59 @@ func TestBatchingShardedOracleUnderCrashRecovery(t *testing.T) {
 	}
 	mustOracle(t, c)
 }
+
+// TestBatchingAddsNoHoldOnHotKey: outbound aggregation is self-clocked, so
+// even an hour-long BatchWindow must not hold a Prepare or Decide in the
+// application tier. Sixteen concurrent transfers out of one hot account
+// serialize on its lock; each holder's commit round has to leave at once,
+// or every waiter behind it stalls until its lock wait times out.
+func TestBatchingAddsNoHoldOnHotKey(t *testing.T) {
+	const requests = 16
+	cfg := Config{
+		Shards:      1,
+		Logic:       transferKeyed(),
+		Workers:     requests,
+		Terminators: requests,
+		Seed:        []kv.Write{{Key: "acct/hot", Val: kv.EncodeInt(1000)}},
+	}
+	fastKnobs(&cfg)
+	cfg.BatchWindow = time.Hour
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	start := time.Now()
+	var wg sync.WaitGroup
+	errs := make(chan error, requests)
+	for i := 0; i < requests; i++ {
+		req := fmt.Sprintf("hot:d%02d:1", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Client(1).Issue(ctx, []byte(req)); err != nil {
+				errs <- fmt.Errorf("issue %s: %w", req, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		t.Fatalf("transfers on the hot key did not all commit within %v", time.Since(start))
+	}
+
+	bal, err := c.Engine(1).Store().GetInt("acct/hot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bal != 1000-requests {
+		t.Errorf("hot balance = %d, want %d", bal, 1000-requests)
+	}
+	mustOracle(t, c)
+}

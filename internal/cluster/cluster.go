@@ -63,11 +63,12 @@ type Config struct {
 	ForceLatency time.Duration
 	// BatchWindow switches the whole commit path to group commit and message
 	// batching: the databases' stable stores combine concurrent forced
-	// writes into shared fsyncs (window = leader accumulation time), the
-	// database servers drain their mailboxes and serve Prepare/Decide as
-	// batches, and the application servers aggregate commit fan-out to the
-	// same participant into Batch envelopes. 0 (the default) keeps the
-	// serialized one-fsync-per-forced-write behaviour.
+	// writes into shared fsyncs (window = leader accumulation time, the
+	// only use of the value), the database servers drain their mailboxes
+	// and serve Prepare/Decide as batches, and the application servers
+	// aggregate commit fan-out to the same participant into Batch envelopes
+	// — self-clocked, so a send to an idle participant never waits. 0 (the
+	// default) keeps the serialized one-fsync-per-forced-write behaviour.
 	BatchWindow time.Duration
 	// MaxBatch caps group-commit cohorts, mailbox drains and outbound Batch
 	// envelopes (default 64; only meaningful with BatchWindow set).
@@ -88,12 +89,12 @@ type Config struct {
 	// MaxCohort caps the register ops in one consensus slot (default 64;
 	// only meaningful with CohortWindow set).
 	MaxCohort int
-	// AdaptiveWindows makes every batching window self-tuning: application
-	// servers sample their in-flight depth and collapse outbound-batch and
-	// cohort caps to one at depth 1 while widening them under pipelining,
-	// and the databases' stable stores run a minimal group-commit window so
-	// lone writers never pay leader accumulation. When set, BatchWindow
-	// defaults to 500µs and CohortWindow to 100µs if unset. Deployment-wide.
+	// AdaptiveWindows makes the batching windows self-tuning: application
+	// servers sample their in-flight depth and collapse the cohort cap and
+	// hold at depth 1 while widening the cap under pipelining, and the
+	// databases' stable stores let a lone group-commit leader skip its
+	// accumulation window. When set, BatchWindow defaults to 500µs and
+	// CohortWindow to 100µs if unset. Deployment-wide.
 	AdaptiveWindows bool
 	// RetainSlots bounds the cohort-consensus batch log by checkpointed
 	// truncation: decided slots below the cluster-wide minimum applied
@@ -443,10 +444,14 @@ func (c *Cluster) startDBOn(dbID id.NodeID, ep transport.Endpoint, store *stable
 	if err != nil {
 		return err
 	}
-	srv.Start()
+	// Publish the node before Start: a recovered server's first results can
+	// reach a client the moment it serves, and whoever then inspects the
+	// shard (Engine, DataServer) must find it. Starting under c.mu keeps a
+	// concurrent CrashDB from stopping a server that has not started yet.
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.dbs[dbID] = &dbNode{srv: srv, engine: engine, store: store, streamer: streamer}
-	c.mu.Unlock()
+	srv.Start()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -102,12 +103,12 @@ type AppServerConfig struct {
 	// CommitCacheSize caps the committed-decision cache and the cleaning
 	// thread's dedup cache (oldest entries evicted first). Defaults to 4096.
 	CommitCacheSize int
-	// BatchWindow enables outbound aggregation of the commit path's database
-	// fan-out: Prepare and Decide sends to the same participant buffer for up
-	// to this window (or until MaxBatch of them are pending) and leave as one
-	// Batch envelope, so the participant can serve them as a group-commit
-	// cohort sharing one forced log write. 0 (the default) sends every
-	// message directly — the pre-batching behaviour.
+	// BatchWindow > 0 enables self-clocked outbound aggregation of the
+	// commit path's database fan-out: Prepare/Decide sends to a participant
+	// that queue behind one in flight leave together as a Batch envelope,
+	// served there as one group-commit cohort. Nothing waits on a timer, so
+	// only the switch matters here (the value is the data tier's group-
+	// commit leader wait). 0 (the default) sends every message directly.
 	BatchWindow time.Duration
 	// MaxBatch caps one outbound Batch envelope. Defaults to 64 when
 	// BatchWindow is set.
@@ -124,15 +125,14 @@ type AppServerConfig struct {
 	// MaxCohort caps the register ops proposed in one consensus slot.
 	// Defaults to 64 when CohortWindow is set.
 	MaxCohort int
-	// AdaptiveWindows makes the batching caps self-tuning: the server
+	// AdaptiveWindows makes the cohort window self-tuning: the server
 	// samples its in-flight request depth (the same arrival signal the
 	// stable store's group-commit combiner observes) and collapses the
-	// outbound-batch and cohort caps to one at depth 1 — no waiting peer
-	// exists, so a window would be pure added latency — while widening them
-	// toward MaxBatch/MaxCohort under deep pipelining. When set,
-	// BatchWindow defaults to 500µs and CohortWindow to 100µs if unset.
-	// Adaptation tunes timing only; protocol semantics are unchanged (see
-	// the package comment).
+	// cohort cap and hold to one op at depth 1 — no waiting peer exists, so
+	// a window would be pure added latency — while widening the cap toward
+	// MaxCohort under deep pipelining. When set, BatchWindow defaults to
+	// 500µs and CohortWindow to 100µs if unset. Adaptation tunes timing
+	// only; protocol semantics are unchanged (see the package comment).
 	AdaptiveWindows bool
 	// RetainSlots bounds the cohort-consensus batch log: each server
 	// piggybacks its applied slot watermark on consensus messages and
@@ -312,8 +312,7 @@ func NewAppServer(cfg AppServerConfig) (*AppServer, error) {
 		depth = s.inflightDepth
 	}
 	if cfg.BatchWindow > 0 {
-		s.agg = newOutAgg(cfg.Endpoint, cfg.BatchWindow, cfg.MaxBatch)
-		s.agg.depth = depth
+		s.agg = newOutAgg(cfg.Endpoint, cfg.MaxBatch)
 	}
 
 	if cfg.Detector != nil {
@@ -1172,140 +1171,91 @@ func wireStats(ep transport.Endpoint) (string, bool) {
 
 // --- outbound batching -------------------------------------------------------
 
-// outAgg coalesces the commit path's outbound fan-out: Prepare/Decide sends
-// to the same database server buffer for up to a window (or a size cap) and
-// leave as one msg.Batch envelope. The receiver serves the batch as one
-// group-commit cohort, so the window trades a little request latency for a
-// large reduction in forced log writes and per-message transport overhead.
+// outAgg coalesces the commit path's outbound fan-out to each database
+// server into msg.Batch envelopes, served there as one group-commit cohort.
+// It is self-clocked like the data server's mailbox drain: the first message
+// for an idle destination starts one flusher, and whatever is sent while its
+// Send is in flight rides the next envelope. No message ever waits on a
+// timer, and one flusher per destination keeps per-destination order
+// without holding a mutex across Send.
 type outAgg struct {
-	ep     transport.Endpoint
-	window time.Duration
-	max    int
-	// depth, when non-nil, samples the in-flight pipelining depth and the
-	// effective batch cap adapts to it (AdaptiveWindows): cap 1 at depth 1
-	// (flush immediately, no window latency), widening toward max as the
-	// pipeline deepens.
-	depth func() int
+	ep  transport.Endpoint
+	max int
 
 	mu     sync.Mutex
 	closed bool
 	pend   map[id.NodeID]*aggBuf
+	wg     sync.WaitGroup
 }
 
 type aggBuf struct {
-	msgs  []msg.Payload
-	timer *time.Timer
+	msgs     []msg.Payload
+	flushing bool
 }
 
-func newOutAgg(ep transport.Endpoint, window time.Duration, max int) *outAgg {
-	return &outAgg{ep: ep, window: window, max: max, pend: make(map[id.NodeID]*aggBuf)}
+func newOutAgg(ep transport.Endpoint, max int) *outAgg {
+	return &outAgg{ep: ep, max: max, pend: make(map[id.NodeID]*aggBuf)}
 }
 
-// send buffers p for db, flushing when the batch cap is reached; the first
-// message of a buffer arms the window timer that flushes the rest.
+// send buffers p for db and starts a flusher if none is running for it.
+// Once stopped, a message for an idle destination is sent directly.
 func (a *outAgg) send(db id.NodeID, p msg.Payload) {
-	// Sample the depth before taking a.mu: inflightDepth takes the server's
-	// pendingMu and lock nesting stays flat.
-	max := a.max
-	if a.depth != nil {
-		max = adaptiveCap(a.max, a.depth())
-	}
 	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		_ = a.ep.Send(msg.Envelope{To: db, Payload: p})
-		return
-	}
 	b := a.pend[db]
 	if b == nil {
 		b = &aggBuf{}
 		a.pend[db] = b
 	}
+	if a.closed && !b.flushing {
+		a.mu.Unlock()
+		_ = a.ep.Send(msg.Envelope{To: db, Payload: p})
+		return
+	}
 	b.msgs = append(b.msgs, p)
-	if len(b.msgs) >= max {
+	if b.flushing {
+		a.mu.Unlock()
+		return
+	}
+	b.flushing = true
+	a.wg.Add(1)
+	a.mu.Unlock()
+	go a.flush(db, b)
+}
+
+// flush drains b until it is empty. The one yield up front lets senders that
+// are already runnable join the first envelope.
+func (a *outAgg) flush(db id.NodeID, b *aggBuf) {
+	defer a.wg.Done()
+	runtime.Gosched()
+	for {
+		a.mu.Lock()
 		msgs := b.msgs
 		b.msgs = nil
-		if b.timer != nil {
-			b.timer.Stop()
-			b.timer = nil
+		if len(msgs) == 0 {
+			b.flushing = false
+			a.mu.Unlock()
+			return
 		}
 		a.mu.Unlock()
-		a.flush(db, msgs)
-		return
-	}
-	if b.timer == nil {
-		b.timer = time.AfterFunc(a.window, func() { a.flushDest(db) })
-	}
-	a.mu.Unlock()
-}
-
-// flushDest is the timer path: it claims whatever is pending for db.
-func (a *outAgg) flushDest(db id.NodeID) {
-	a.mu.Lock()
-	b := a.pend[db]
-	if b == nil || len(b.msgs) == 0 {
-		if b != nil {
-			b.timer = nil
+		for len(msgs) > 0 {
+			n := min(len(msgs), a.max)
+			if n == 1 {
+				_ = a.ep.Send(msg.Envelope{To: db, Payload: msgs[0]})
+			} else {
+				_ = a.ep.Send(msg.Envelope{To: db, Payload: msg.Batch{Msgs: msgs[:n]}})
+			}
+			msgs = msgs[n:]
 		}
-		a.mu.Unlock()
-		return
 	}
-	msgs := b.msgs
-	b.msgs = nil
-	b.timer = nil
-	a.mu.Unlock()
-	a.flush(db, msgs)
 }
 
-func (a *outAgg) flush(db id.NodeID, msgs []msg.Payload) {
-	if len(msgs) == 1 {
-		_ = a.ep.Send(msg.Envelope{To: db, Payload: msgs[0]})
-		return
-	}
-	_ = a.ep.Send(msg.Envelope{To: db, Payload: msg.Batch{Msgs: msgs}})
-}
-
-// adaptiveCap sizes a batch cap to the observed in-flight depth: depth 1
-// collapses batching entirely (an appended message flushes at once, so the
-// window never adds latency), deeper pipelines widen toward the configured
-// cap. Because the collapse is append-then-flush rather than a bypass,
-// buffered and unbuffered sends can never reorder.
-func adaptiveCap(configured, depth int) int {
-	if depth <= 1 {
-		return 1
-	}
-	m := 2 * depth
-	if m < 8 {
-		m = 8
-	}
-	if m > configured {
-		m = configured
-	}
-	return m
-}
-
-// stop flushes every pending buffer and sends all later traffic directly.
+// stop waits until every buffered message has been sent; later traffic to
+// an idle destination is sent directly.
 func (a *outAgg) stop() {
 	a.mu.Lock()
 	a.closed = true
-	type rest struct {
-		db   id.NodeID
-		msgs []msg.Payload
-	}
-	var out []rest
-	for db, b := range a.pend {
-		if b.timer != nil {
-			b.timer.Stop()
-		}
-		if len(b.msgs) > 0 {
-			out = append(out, rest{db: db, msgs: b.msgs})
-		}
-	}
-	a.pend = make(map[id.NodeID]*aggBuf)
 	a.mu.Unlock()
-	for _, r := range out {
-		a.flush(r.db, r.msgs)
-	}
+	a.wg.Wait()
 }
 
 // --- business-data access for Logic -----------------------------------------

@@ -6,26 +6,30 @@
 // heartbeat failure detector, and XA database engines.
 //
 // The package generalizes the paper's single-client/single-request
-// presentation in the ways DESIGN.md documents: registers and transaction
-// branches are keyed by ResultID (client, request sequence, try), the client
-// rebroadcasts periodically instead of waiting forever after its first
-// broadcast, and the cleaning thread scans the set of register keys the
-// replica has seen instead of an unbounded array.
+// presentation in the ways the README's "Departures from the paper" section
+// documents: registers and transaction branches are keyed by ResultID
+// (client, request sequence, try), the client rebroadcasts periodically
+// instead of waiting forever after its first broadcast, and the cleaning
+// thread scans the set of register keys the replica has seen instead of an
+// unbounded array.
 //
 // With a batch window configured the commit path additionally runs group
 // commit end to end: application servers aggregate Prepare/Decide fan-out to
 // the same participant into msg.Batch envelopes, database servers drain
 // their mailbox and serve those rounds through the engine's batched entry
 // points, and the stable store combines the resulting forced writes into
-// shared fsyncs. Batching changes no span semantics — SpanPrepare and
-// SpanCommit still bound the same exchanges; the shared fsync simply makes
-// them cheaper per request — so the Figure 8 rows remain comparable with
-// batching on or off.
+// shared fsyncs. The application server's aggregation is self-clocked, never
+// timed: Prepare and Decide run while the data server holds the try's
+// exclusive locks, so any hold there would stall every waiter on a hot key.
+// The window's value is the stable store's group-commit leader wait.
+// Batching changes no span semantics — SpanPrepare and SpanCommit still
+// bound the same exchanges; the shared fsync simply makes them cheaper per
+// request — so the Figure 8 rows remain comparable with batching on or off.
 //
-// AppServerConfig.AdaptiveWindows makes every batching knob self-tuning: the
-// server samples its own in-flight request depth (EWMA-smoothed) and sizes
-// the outbound-aggregation cap, the cohort-sequencer cap and hold, and the
-// store's group-commit window to it — collapsing to unbatched behaviour for
+// AppServerConfig.AdaptiveWindows makes the remaining windows self-tuning:
+// the server samples its own in-flight request depth (EWMA-smoothed) and
+// sizes the cohort-sequencer cap and hold to it, and the store lets a lone
+// group-commit leader skip its wait — collapsing to unbatched behaviour for
 // a lone request, widening toward the configured caps under pipelining.
 // Adaptation changes timing only, never protocol semantics: the messages,
 // register writes and forced-log rules are identical at every depth, so a

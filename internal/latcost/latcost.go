@@ -1,9 +1,9 @@
 // Package latcost is the calibrated component cost model behind the
 // reproduction of the paper's Figure 8. The paper measured its protocols on
 // HP C180 workstations, Orbix RPC and Oracle 8.0.3; none of that hardware or
-// software is available, so — per the substitution rules in DESIGN.md — the
-// model injects the paper's measured component costs into the simulated
-// substrate:
+// software is available, so — per the substitution rules in the README's
+// "Reproducing the paper's evaluation" section — the model injects the
+// paper's measured component costs into the simulated substrate:
 //
 //	component              paper measurement           injected as
 //	-------------------------------------------------------------------------
@@ -174,16 +174,16 @@ func (r *Recorder) sample(span core.Span) *metrics.Sample {
 	return s
 }
 
-// Mean returns the mean of one component in milliseconds (0 if never
+// Median returns the median of one component in milliseconds (0 if never
 // observed).
-func (r *Recorder) Mean(span core.Span) float64 {
+func (r *Recorder) Median(span core.Span) float64 {
 	r.mu.Lock()
 	s, ok := r.spans[span]
 	r.mu.Unlock()
 	if !ok {
 		return 0
 	}
-	return s.Mean()
+	return s.Percentile(50)
 }
 
 // Summary returns the full digest for one component.

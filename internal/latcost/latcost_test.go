@@ -92,17 +92,21 @@ func TestRecorder(t *testing.T) {
 	h.Span(rid, core.SpanSQL, 10*time.Millisecond)
 	h.Span(rid, core.SpanSQL, 20*time.Millisecond)
 	h.Span(rid, core.SpanPrepare, 5*time.Millisecond)
-	if got := r.Mean(core.SpanSQL); got != 15 {
-		t.Errorf("SQL mean = %v", got)
+	if got := r.Median(core.SpanSQL); got != 15 {
+		t.Errorf("SQL median = %v", got)
 	}
-	if got := r.Mean(core.SpanPrepare); got != 5 {
-		t.Errorf("prepare mean = %v", got)
+	if got := r.Median(core.SpanPrepare); got != 5 {
+		t.Errorf("prepare median = %v", got)
 	}
-	if got := r.Mean(core.SpanCommit); got != 0 {
-		t.Errorf("unobserved span mean = %v", got)
+	if got := r.Median(core.SpanCommit); got != 0 {
+		t.Errorf("unobserved span median = %v", got)
 	}
 	if s := r.Summary(core.SpanSQL); s.N != 2 {
 		t.Errorf("summary n = %d", s.N)
+	}
+	h.Span(rid, core.SpanSQL, 100*time.Millisecond)
+	if got := r.Median(core.SpanSQL); got != 20 {
+		t.Errorf("SQL median = %v, want 20 (the outlier must not move it)", got)
 	}
 }
 

@@ -251,6 +251,34 @@ func (s *Sample) CI90() float64 {
 	return t * sd / math.Sqrt(float64(n))
 }
 
+// MedianCI90 returns the half-width of a distribution-free confidence
+// interval of the median with at least 90% coverage: the interval between
+// the order statistics x(l) and x(n+1-l), where l is the largest rank whose
+// binomial tail P(Bin(n, 1/2) < l) stays within 5%. Unlike CI90 it ignores
+// how far outliers lie, so a lone scheduler stall cannot widen it. Samples
+// too small for any such interval (n < 5) return the half-range.
+func (s *Sample) MedianCI90() float64 {
+	s.mu.Lock()
+	sorted := append([]float64(nil), s.vals...)
+	s.mu.Unlock()
+	n := len(sorted)
+	if n < 2 {
+		return 0
+	}
+	sort.Float64s(sorted)
+	// tail accumulates P(Bin(n, 1/2) <= l-1) as l grows.
+	l, tail, term := 0, 0.0, math.Pow(0.5, float64(n))
+	for k := 0; tail+term <= 0.05; k++ {
+		tail += term
+		term = term * float64(n-k) / float64(k+1)
+		l = k + 1
+	}
+	if l == 0 {
+		l = 1
+	}
+	return (sorted[n-l] - sorted[l-1]) / 2
+}
+
 // Summary is a one-line digest of a sample.
 type Summary struct {
 	N      int

@@ -84,6 +84,32 @@ func TestCI90KnownValue(t *testing.T) {
 	}
 }
 
+// TestMedianCI90OrderStatistics: for n = 12 the 90% interval of the median
+// runs from the 3rd to the 10th order statistic (P(Bin(12, 1/2) <= 2) is
+// 1.9%, <= 3 is 7.3%), so outliers beyond those ranks cannot move it.
+func TestMedianCI90OrderStatistics(t *testing.T) {
+	s := NewSample()
+	for i := 1; i <= 10; i++ {
+		s.Add(float64(i))
+	}
+	s.Add(1e6)
+	s.Add(-1e6)
+	// Sorted: -1e6, 1, 2, ..., 10, 1e6 — x(3) = 2, x(10) = 9.
+	if got := s.MedianCI90(); !almost(got, 3.5, 1e-9) {
+		t.Errorf("MedianCI90 = %v, want 3.5", got)
+	}
+	small := NewSample()
+	for _, v := range []float64{1, 2, 5} {
+		small.Add(v)
+	}
+	if got := small.MedianCI90(); !almost(got, 2, 1e-9) {
+		t.Errorf("MedianCI90 of n=3 = %v, want the half-range 2", got)
+	}
+	if got := NewSample().MedianCI90(); got != 0 {
+		t.Errorf("empty MedianCI90 = %v", got)
+	}
+}
+
 func TestSummaryString(t *testing.T) {
 	s := NewSample()
 	s.Add(1)

@@ -343,7 +343,7 @@ func (s *sequencer) take() []msg.RegOp {
 
 // adaptiveCap sizes the cohort cap to the observed pipelining depth:
 // depth 1 collapses the cohort to a single op, deeper pipelines widen
-// toward the configured cap. (Mirrors core's outbound-batch sizing.)
+// toward the configured cap.
 func adaptiveCap(configured, depth int) int {
 	if depth <= 1 {
 		return 1
