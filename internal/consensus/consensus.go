@@ -836,7 +836,11 @@ func (n *Node) dispatch(from id.NodeID, key msg.RegKey, p msg.Payload) {
 		return
 	}
 	n.mu.Unlock()
-	inst := n.getInstance(key, true)
+	// A round message from a peer starts the instance here (a passive
+	// replica joins that way). A self-addressed one can only come from this
+	// node's own instance; if that instance is gone, the message is a
+	// straggler of an abandoned run and must not resurrect it.
+	inst := n.getInstance(key, from != n.cfg.Self)
 	if inst == nil {
 		return
 	}

@@ -361,6 +361,53 @@ func TestAbandonReleasesUndecidedInstance(t *testing.T) {
 	}
 }
 
+// TestSelfMessageCannotResurrectAbandonedInstance replays, deterministically,
+// the straggler behind the occasional "instance survived Abandon": the
+// abandoned instance's run goroutine can be mid-broadcast when Abandon
+// removes it, and its self-addressed round message short-circuits straight
+// into Handle. That message must not re-create the instance — behind the
+// partition the re-created one would never decide, and nothing would ever
+// abandon it again.
+func TestSelfMessageCannotResurrectAbandonedInstance(t *testing.T) {
+	r := newRig(t, 3, transport.Options{})
+	p := r.peers[0]
+	r.net.Partition([]id.NodeID{p}, []id.NodeID{r.peers[1], r.peers[2]})
+
+	k := regKey(msg.RegA, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := r.nodes[p].Propose(context.Background(), k, []byte("stuck"))
+		errCh <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, _, ok := r.nodes[p].InstanceState(k); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("instance never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	r.nodes[p].Abandon(k)
+	if err := <-errCh; !errors.Is(err, ErrAbandoned) {
+		t.Fatalf("Propose returned %v, want ErrAbandoned", err)
+	}
+	// The late broadcasts of the abandoned run, addressed to itself.
+	r.nodes[p].Handle(p, msg.Estimate{Reg: k, Round: 1, Est: []byte("stuck")})
+	r.nodes[p].Handle(p, msg.Propose{Reg: k, Round: 1, Val: []byte("stuck")})
+	r.nodes[p].Handle(p, msg.CAck{Reg: k, Round: 1})
+	if round, _, ok := r.nodes[p].InstanceState(k); ok {
+		t.Fatalf("a self-addressed round message re-created the abandoned instance (round %d)", round)
+	}
+	// A peer's round message still creates the instance: that is how a
+	// passive replica joins a round it has not seen.
+	r.nodes[p].Handle(r.peers[1], msg.Estimate{Reg: regKey(msg.RegA, 2), Round: 2, Est: []byte("peer")})
+	if _, _, ok := r.nodes[p].InstanceState(regKey(msg.RegA, 2)); !ok {
+		t.Fatal("a peer's estimate no longer starts an instance")
+	}
+}
+
 // TestProposeBelowFloorRejected: the sequencer contract — proposing at or
 // below the truncation floor is refused, never re-decided.
 func TestProposeBelowFloorRejected(t *testing.T) {

@@ -218,7 +218,9 @@ func (w *writer) payload(p Payload) error {
 		w.uvarint(m.Floor)
 		w.regOps(m.Regs)
 	case RData:
+		w.uvarint(m.Inc)
 		w.uvarint(m.Seq)
+		w.uvarint(m.Base)
 		return w.payload(m.Inner)
 	case Batch:
 		w.uvarint(uint64(len(m.Msgs)))
@@ -231,6 +233,7 @@ func (w *writer) payload(p Payload) error {
 			}
 		}
 	case RAck:
+		w.uvarint(m.Inc)
 		w.uvarint(m.Seq)
 	case RegOps:
 		w.regOps(m.Ops)
@@ -512,14 +515,14 @@ func (r *reader) payloadOrErr() (Payload, error) {
 	case KindCheckpoint:
 		p = Checkpoint{Floor: r.uvarint(), Regs: r.regOps()}
 	case KindRData:
-		seq := r.uvarint()
+		inc, seq, base := r.uvarint(), r.uvarint(), r.uvarint()
 		inner, err := r.payloadOrErr()
 		if err != nil {
 			return nil, err
 		}
-		p = RData{Seq: seq, Inner: inner}
+		p = RData{Inc: inc, Seq: seq, Base: base, Inner: inner}
 	case KindRAck:
-		p = RAck{Seq: r.uvarint()}
+		p = RAck{Inc: r.uvarint(), Seq: r.uvarint()}
 	case KindRegOps:
 		p = RegOps{Ops: r.regOps()}
 	case KindBatch:

@@ -44,9 +44,10 @@ func allPayloads() []Payload {
 		CNack{Reg: RegKey{Array: RegD, RID: r}, Round: 6},
 		CDecision{Reg: RegKey{Array: RegD, RID: r}, Val: []byte("v")},
 		Heartbeat{Seq: 1234},
-		RData{Seq: 9, Inner: Prepare{RID: r}},
-		RData{Seq: 10, Inner: RData{Seq: 11, Inner: Heartbeat{Seq: 1}}},
-		RAck{Seq: 9},
+		RData{Inc: 0x9e3779b97f4a7c15, Seq: 9, Base: 4, Inner: Prepare{RID: r}},
+		RData{Inc: 3, Seq: 10, Base: 10, Inner: RData{Inc: 1 << 63, Seq: 11, Base: 1, Inner: Heartbeat{Seq: 1}}},
+		RAck{Inc: 0x9e3779b97f4a7c15, Seq: 9},
+		RAck{Inc: ^uint64(0), Seq: 1 << 40},
 		Commit1P{RID: r},
 		PBStart{RID: r, Body: []byte("req")},
 		PBStartAck{RID: r},
@@ -58,7 +59,7 @@ func allPayloads() []Payload {
 			AckDecide{RID: r, O: OutcomeCommit},
 			AckDecide{RID: rid(2, 8, 1), O: OutcomeAbort},
 		}},
-		RData{Seq: 12, Inner: Batch{Msgs: []Payload{Prepare{RID: r}, Prepare{RID: rid(2, 8, 1)}}}},
+		RData{Inc: 7, Seq: 12, Base: 1, Inner: Batch{Msgs: []Payload{Prepare{RID: r}, Prepare{RID: rid(2, 8, 1)}}}},
 		Estimate{Reg: SlotKey(17), Round: 1, TS: 0, Est: []byte("batch-value")},
 		CDecision{Reg: SlotKey(18), Val: []byte("batch-value")},
 		RegOps{Ops: []RegOp{

@@ -504,15 +504,28 @@ func (Heartbeat) Kind() Kind { return KindHeartbeat }
 // receiver suppresses duplicates, implementing the paper's reliable channels
 // over a lossy network.
 type RData struct {
-	Seq   uint64
+	// Inc is the sender's incarnation, drawn from crypto/rand when its
+	// reliable channel starts. A restarted sender numbers from 1 again under
+	// a fresh Inc, and the receiver keeps duplicate state per incarnation.
+	Inc uint64
+	// Seq numbers the message within (sender incarnation, receiver), from 1.
+	Seq uint64
+	// Base is the lowest Seq the sender still holds unacknowledged (at most
+	// Seq): everything below it was acknowledged, so a receiver with no
+	// state for Inc — it restarted — starts its contiguous prefix at Base-1.
+	Base  uint64
 	Inner Payload
 }
 
 // Kind implements Payload.
 func (RData) Kind() Kind { return KindRData }
 
-// RAck acknowledges receipt of the RData with the same sequence number.
+// RAck cumulatively acknowledges every RData of sender incarnation Inc with
+// a sequence number up to and including Seq.
 type RAck struct {
+	// Inc echoes the RData incarnation being acknowledged; an ack for
+	// another incarnation acknowledges nothing.
+	Inc uint64
 	Seq uint64
 }
 

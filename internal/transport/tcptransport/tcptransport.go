@@ -15,24 +15,37 @@
 // writev (net.Buffers) without coalescing the frames through a copy; a
 // build-tagged fallback (-tags etx_nowritev, writev_fallback.go) coalesces
 // into a single buffered write for platforms where writev buys nothing.
-// Every kernel flush runs under Config.WriteTimeout — a peer that accepts
+// The writer is self-clocked: after the first frame of a drain arrives it
+// yields once, so frames that other goroutines enqueue meanwhile share the
+// flush, then takes everything queued — no timer and no window. Every
+// kernel flush runs under Config.WriteTimeout — a peer that accepts
 // the connection but stops reading trips the deadline, the connection is
 // dropped (fair loss, same as the redial-on-error path) and the next drain
 // redials. A full queue likewise drops the frame rather than blocking the
-// sender. Receive-side framing reads into a recycled per-connection buffer
-// (msg.Decode copies every variable-length field out, so reuse is safe).
+// sender.
+//
+// # Receive path
+//
+// Each incoming connection is read through a retainedReadBuf-sized buffered
+// reader, so one read(2) takes in a whole writev drain and the frames in it
+// are split out of user-space memory. A frame that fits the buffer is
+// decoded in place (msg.Decode copies every variable-length field out, so
+// the buffer is safely recycled for the next frame); a larger one gets a
+// one-shot allocation.
 //
 // Wire pressure is counted (frames/bytes in both directions, kernel
-// flushes, queue drops, connection drops, coalescing copies — zero on the
-// writev path) and exposed through Stats/WireStats.
+// flushes and reads, queue drops, connection drops, coalescing copies —
+// zero on the writev path) and exposed through Stats/WireStats.
 package tcptransport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -47,7 +60,7 @@ import (
 // maxFrame bounds a frame to guard against corrupted length prefixes.
 const maxFrame = 32 << 20
 
-// retainedReadBuf caps the receive buffer a connection keeps across frames;
+// retainedReadBuf sizes the read buffer a connection keeps across frames;
 // frames above it get a one-shot allocation instead of pinning megabytes on
 // every idle connection.
 const retainedReadBuf = 64 << 10
@@ -118,6 +131,7 @@ type Endpoint struct {
 	framesRecv  metrics.Counter
 	bytesRecv   metrics.Counter
 	writevCalls metrics.Counter // kernel flushes (one writev per queue drain)
+	readCalls   metrics.Counter // kernel reads on incoming connections
 	coalesced   metrics.Counter // frames copied into a coalescing buffer (fallback only)
 	queueDrops  metrics.Counter // frames dropped on a full peer queue
 	connDrops   metrics.Counter // connections dropped on write error or deadline
@@ -335,8 +349,12 @@ func (ep *Endpoint) writeLoop(pc *peerConn) {
 		case <-ep.done:
 			return
 		}
-		// Opportunistic drain: everything queued behind the first frame
+		// Self-clocked drain: yield once so goroutines about to send to this
+		// peer can enqueue, then everything queued behind the first frame
 		// rides the same kernel flush.
+		if ep.cfg.MaxWritev > 1 {
+			runtime.Gosched()
+		}
 	drain:
 		for len(frames) < ep.cfg.MaxWritev {
 			select {
@@ -401,9 +419,11 @@ func (ep *Endpoint) acceptLoop() {
 }
 
 // readLoop decodes frames from one incoming connection until it breaks.
-// Frames are read into a recycled per-connection buffer: msg.Decode copies
-// every variable-length field out of its input, so reusing the buffer for
-// the next frame can never corrupt a delivered envelope.
+// The connection is read through a buffered reader, so a writev drain of
+// many frames costs one kernel read. A frame that fits the buffer is decoded
+// in place: msg.Decode copies every variable-length field out of its input,
+// so the buffer's reuse for the next frame can never corrupt a delivered
+// envelope.
 func (ep *Endpoint) readLoop(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -411,44 +431,59 @@ func (ep *Endpoint) readLoop(c net.Conn) {
 		delete(ep.accepted, c)
 		ep.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(countedReader{r: c, ep: ep}, retainedReadBuf)
 	var lenBuf [4]byte
-	buf := make([]byte, 4096)
 	for {
 		select {
 		case <-ep.done:
 			return
 		default:
 		}
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 			return
 		}
-		n := binary.BigEndian.Uint32(lenBuf[:])
+		n := int(binary.BigEndian.Uint32(lenBuf[:]))
 		if n == 0 || n > maxFrame {
 			return
 		}
-		b := buf
-		if int(n) > len(b) {
-			if n <= retainedReadBuf {
-				buf = make([]byte, retainedReadBuf)
-				b = buf
-			} else {
-				// Oversize frame: one-shot allocation, the retained buffer
-				// stays small.
-				b = make([]byte, n)
-			}
+		var b []byte
+		var err error
+		inPlace := n <= br.Size()
+		if inPlace {
+			b, err = br.Peek(n)
+		} else {
+			// Oversize frame: one-shot allocation, the retained buffer
+			// stays small.
+			b = make([]byte, n)
+			_, err = io.ReadFull(br, b)
 		}
-		b = b[:n]
-		if _, err := io.ReadFull(c, b); err != nil {
+		if err != nil {
 			return
 		}
 		ep.framesRecv.Inc()
 		ep.bytesRecv.Add(uint64(n) + 4)
 		env, err := msg.Decode(b)
+		if inPlace {
+			// Release the decoded frame's bytes; Peek returned n of them, so
+			// Discard cannot fail.
+			_, _ = br.Discard(n)
+		}
 		if err != nil {
 			continue // corrupted frame: drop, keep the stream
 		}
 		ep.inbox.Push(env)
 	}
+}
+
+// countedReader counts the kernel reads made on an incoming connection.
+type countedReader struct {
+	r  io.Reader
+	ep *Endpoint
+}
+
+func (cr countedReader) Read(p []byte) (int, error) {
+	cr.ep.readCalls.Inc()
+	return cr.r.Read(p)
 }
 
 // pump moves delivered messages to the recv channel.
@@ -485,6 +520,7 @@ type Stats struct {
 	FramesRecv  uint64 // frames read off incoming connections
 	BytesRecv   uint64 // bytes read off incoming connections (prefix included)
 	WritevCalls uint64 // kernel flushes: one vectored write per queue drain
+	ReadCalls   uint64 // kernel reads on incoming connections
 	Coalesced   uint64 // frames copied through a coalescing buffer (0 on the writev path)
 	QueueDrops  uint64 // frames dropped because a peer queue was full
 	ConnDrops   uint64 // connections dropped on write error or expired deadline
@@ -499,6 +535,7 @@ func (ep *Endpoint) Stats() Stats {
 		FramesRecv:  ep.framesRecv.Load(),
 		BytesRecv:   ep.bytesRecv.Load(),
 		WritevCalls: ep.writevCalls.Load(),
+		ReadCalls:   ep.readCalls.Load(),
 		Coalesced:   ep.coalesced.Load(),
 		QueueDrops:  ep.queueDrops.Load(),
 		ConnDrops:   ep.connDrops.Load(),
@@ -516,11 +553,22 @@ func (s Stats) FramesPerWritev() float64 {
 	return float64(s.FramesSent) / float64(s.WritevCalls)
 }
 
+// FramesPerRead returns the mean frames one kernel read took in — the
+// receive-side counterpart of FramesPerWritev (1.0 means every frame paid
+// its own read).
+func (s Stats) FramesPerRead() float64 {
+	if s.ReadCalls == 0 {
+		return 0
+	}
+	return float64(s.FramesRecv) / float64(s.ReadCalls)
+}
+
 // String renders the snapshot on one line.
 func (s Stats) String() string {
-	return fmt.Sprintf("sent=%d/%dB recv=%d/%dB writev=%d (%.1f frames/call) coalesced=%d qdrop=%d cdrop=%d queued=%d",
+	return fmt.Sprintf("sent=%d/%dB recv=%d/%dB writev=%d (%.1f frames/call) read=%d (%.1f frames/call) coalesced=%d qdrop=%d cdrop=%d queued=%d",
 		s.FramesSent, s.BytesSent, s.FramesRecv, s.BytesRecv,
-		s.WritevCalls, s.FramesPerWritev(), s.Coalesced, s.QueueDrops, s.ConnDrops, s.Queued)
+		s.WritevCalls, s.FramesPerWritev(), s.ReadCalls, s.FramesPerRead(),
+		s.Coalesced, s.QueueDrops, s.ConnDrops, s.Queued)
 }
 
 // Vectored reports whether this binary's flush path is the scatter-gather

@@ -2,6 +2,8 @@ package tcptransport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
 	"testing"
 	"time"
 
@@ -160,6 +162,132 @@ func TestReliableChannelsOverTCP(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("delivery %d never arrived", i)
 		}
+	}
+}
+
+// TestReliableChannelsAcrossRestartsOverTCP reuses the restart rig of
+// TestReconnectAfterPeerRestart under the reliable channel: first the
+// sender restarts on its address, then the receiver does. A restarted
+// sender numbers its messages from 1 again, below the receiver's delivered
+// prefix; its new incarnation must still be delivered, exactly once and in
+// full.
+func TestReliableChannelsAcrossRestartsOverTCP(t *testing.T) {
+	const period = 50 * time.Millisecond
+	rawA, rawB := pairUp(t, id.AppServer(1), id.AppServer(2))
+	a := rchan.Wrap(rawA, period)
+	b := rchan.Wrap(rawB, period)
+	t.Cleanup(func() { a.Close() })
+	t.Cleanup(func() { b.Close() })
+
+	send := func(from *rchan.Endpoint, to id.NodeID, first, n int) {
+		t.Helper()
+		for i := first; i < first+n; i++ {
+			rid := id.ResultID{Client: id.Client(1), Seq: uint64(i), Try: 1}
+			if err := from.Send(msg.Envelope{To: to, Payload: msg.Decide{RID: rid, O: msg.OutcomeCommit}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// expect checks that messages first..first+n-1 arrive exactly once each;
+	// a reliable channel does not promise their order.
+	expect := func(at *rchan.Endpoint, first, n int) {
+		t.Helper()
+		got := make(map[uint64]bool)
+		for len(got) < n {
+			select {
+			case env, ok := <-at.Recv():
+				if !ok {
+					t.Fatal("closed early")
+				}
+				s := env.Payload.(msg.Decide).RID.Seq
+				if s < uint64(first) || s >= uint64(first+n) || got[s] {
+					t.Fatalf("delivered message %d, want each of %d..%d once", s, first, first+n-1)
+				}
+				got[s] = true
+			case <-time.After(5 * time.Second):
+				t.Fatalf("only %d of messages %d..%d arrived", len(got), first, first+n-1)
+			}
+		}
+	}
+	drained := func(ep *rchan.Endpoint) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for ep.Unacked() > 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("unacked stuck at %d", ep.Unacked())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	restart := func(old *rchan.Endpoint, self id.NodeID, addr string, peer id.NodeID, peerAddr string) *rchan.Endpoint {
+		t.Helper()
+		old.Close()
+		raw, err := Listen(Config{Self: self, Listen: addr, Peers: map[id.NodeID]string{peer: peerAddr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := rchan.Wrap(raw, period)
+		t.Cleanup(func() { ep.Close() })
+		return ep
+	}
+
+	send(a, rawB.ID(), 0, 5)
+	expect(b, 0, 5)
+	drained(a)
+
+	a = restart(a, rawA.ID(), rawA.Addr(), rawB.ID(), rawB.Addr())
+	send(a, rawB.ID(), 100, 3)
+	expect(b, 100, 3)
+	drained(a)
+
+	b = restart(b, rawB.ID(), rawB.Addr(), rawA.ID(), rawA.Addr())
+	send(a, rawB.ID(), 5, 5)
+	expect(b, 5, 5)
+	drained(a)
+	select {
+	case env := <-b.Recv():
+		t.Fatalf("extra delivery %v", env.Payload)
+	case <-time.After(3 * period):
+	}
+}
+
+// TestDrainIsReadInFewKernelReads writes a 64-frame drain to an endpoint in
+// one kernel write and checks that the receiver took it in with far fewer
+// reads than frames: the buffered reader splits frames out of user space.
+func TestDrainIsReadInFewKernelReads(t *testing.T) {
+	_, b := pairUp(t, id.AppServer(1), id.AppServer(2))
+	const frames = 64
+	var wire []byte
+	for i := 0; i < frames; i++ {
+		env := msg.Envelope{From: id.AppServer(1), To: b.ID(), Payload: msg.Heartbeat{Seq: uint64(i)}}
+		start := len(wire)
+		wire = append(wire, 0, 0, 0, 0)
+		var err error
+		if wire, err = msg.AppendEncode(wire, env); err != nil {
+			t.Fatal(err)
+		}
+		binary.BigEndian.PutUint32(wire[start:], uint32(len(wire)-start-4))
+	}
+	c, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		env := recvOne(t, b, 5*time.Second)
+		if hb, ok := env.Payload.(msg.Heartbeat); !ok || hb.Seq != uint64(i) {
+			t.Fatalf("frame %d = %#v", i, env.Payload)
+		}
+	}
+	st := b.Stats()
+	if st.FramesRecv != frames {
+		t.Fatalf("FramesRecv = %d, want %d", st.FramesRecv, frames)
+	}
+	if st.FramesPerRead() < 8 {
+		t.Errorf("%d frames took %d kernel reads (%.1f frames/read), want at least 8 frames per read", st.FramesRecv, st.ReadCalls, st.FramesPerRead())
 	}
 }
 
